@@ -446,6 +446,9 @@ func TestClusterRollingDrain(t *testing.T) {
 			home = i
 		}
 	}
+	if home < 0 {
+		t.Fatal("no shard served the probe")
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

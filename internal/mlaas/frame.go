@@ -56,31 +56,15 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// crcWriter accumulates an IEEE CRC32 over everything written through it.
-type crcWriter struct {
-	w io.Writer
-	h hash.Hash32
-}
+// trailerBytes is the size of the [crcMagic][crc32] trailer.
+const trailerBytes = 8
 
-func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: w, h: crc32.NewIEEE()}
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.h.Write(p[:n]) //nolint:errcheck
-	return n, err
-}
-
-// writeTrailer appends the 8-byte [crcMagic][crc32] trailer to w, where
-// sum is the CRC of every payload byte already written. Write errors are
-// the caller's to ignore (the peer may be gone).
-func writeTrailer(w io.Writer, sum uint32) error {
-	var tr [8]byte
-	binary.LittleEndian.PutUint32(tr[:4], crcMagic)
-	binary.LittleEndian.PutUint32(tr[4:], sum)
-	_, err := w.Write(tr[:])
-	return err
+// appendTrailer appends the [crcMagic][crc32] trailer to frame, the CRC
+// taken over every byte of frame.
+func appendTrailer(frame []byte) []byte {
+	sum := crc32.ChecksumIEEE(frame)
+	frame = binary.LittleEndian.AppendUint32(frame, crcMagic)
+	return binary.LittleEndian.AppendUint32(frame, sum)
 }
 
 // errFrameCorruptf wraps ErrFrameCorrupt with detail, keeping errors.Is
@@ -93,7 +77,7 @@ func errFrameCorruptf(format string, args ...any) error {
 // sum, returning an ErrFrameCorrupt-wrapped error on any mismatch or
 // truncation.
 func readTrailer(r io.Reader, sum uint32) error {
-	var tr [8]byte
+	var tr [trailerBytes]byte
 	if _, err := io.ReadFull(r, tr[:]); err != nil {
 		return errFrameCorruptf("missing crc trailer: %v", err)
 	}

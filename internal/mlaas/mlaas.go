@@ -44,6 +44,7 @@
 package mlaas
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -151,8 +152,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the server's telemetry: request
 	// counters by status, phase/request latency histograms, the in-flight
 	// gauge, and per-layer evaluate breakdowns (see the Metric* names in
-	// telemetry.go). Nil disables metrics with zero added work on the
-	// request path.
+	// telemetry.go). Nil exports nothing and adds no request-path work
+	// beyond the per-status counters that back Stats.
 	Metrics *telemetry.Registry
 	// Flight, when non-nil, receives the server's tail-sampled request
 	// traces: every error/slow/shed/degraded request is kept, healthy
@@ -187,7 +188,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of a Server's request counters.
+// Stats is a snapshot of a Server's request counters. Every field but
+// Dropped is a sum of the per-status exchange counters exported as
+// MetricRequestsTotal{status}:
+//
+//	Served      = ok
+//	BadRequests = bad-request + unknown-tenant
+//	Rejected    = busy + shutting-down (drain, shed, admission queue,
+//	              tenant quota, and batch-budget refusals alike)
+//	Panics      = internal
+//
+// Each counter moves once per exchange, before the first response byte
+// is written, so a client holding its answer always finds it counted.
+// Servers sharing one Config.Metrics registry share those counters.
 type Stats struct {
 	Served      int // completed inferences
 	BadRequests int // protocol or data errors reported to clients
@@ -221,18 +234,21 @@ type Server struct {
 	tenants *tenantSet
 	defRT   *tenantRuntime
 
-	// met is nil when Config.Metrics is nil; reqSeq tags every exchange
-	// with a monotonically increasing id that appears in failure messages
-	// and the slow-request log, correlating client-observed errors with
-	// server telemetry.
-	met     *serverMetrics
-	flight  *telemetry.FlightRecorder
-	reqSeq  atomic.Uint64
-	slowMu  sync.Mutex
-	slowLog io.Writer
+	// requests counts exchanges by status — the MetricRequestsTotal
+	// family of Config.Metrics, or unexported zero-value counters without
+	// one — and backs Stats. met is nil when Config.Metrics is nil; reqSeq
+	// tags every exchange with a monotonically increasing id that appears
+	// in failure messages and the slow-request log, correlating
+	// client-observed errors with server telemetry.
+	requests *statusCounters
+	met      *serverMetrics
+	flight   *telemetry.FlightRecorder
+	reqSeq   atomic.Uint64
+	slowMu   sync.Mutex
+	slowLog  io.Writer
 
 	mu        sync.Mutex
-	stats     Stats
+	dropped   int
 	inflight  int
 	draining  bool
 	listeners map[net.Listener]struct{}
@@ -273,6 +289,7 @@ func NewServerWithConfig(params ckks.Parameters, henet *hecnn.Network, rlk *ckks
 		},
 		cfg:       cfg,
 		adm:       newAdmitter(cfg.MaxConcurrent, cfg.QueueDepth, cfg.Metrics),
+		requests:  newStatusCounters(cfg.Metrics, MetricRequestsTotal, "completed exchanges by typed wire status"),
 		met:       newServerMetrics(cfg.Metrics, henet),
 		flight:    cfg.Flight,
 		slowLog:   cfg.SlowRequestLog,
@@ -372,17 +389,22 @@ func (s *Server) observes() bool {
 }
 
 // Served returns the number of completed inferences.
-func (s *Server) Served() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats.Served
-}
+func (s *Server) Served() int { return int(s.requests[StatusOK].Value()) }
 
-// Stats returns a snapshot of the request counters.
+// Stats returns a snapshot of the request counters. Each field is read
+// atomically; fields read while exchanges complete may straddle one.
 func (s *Server) Stats() Stats {
+	c := s.requests
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	dropped := s.dropped
+	s.mu.Unlock()
+	return Stats{
+		Served:      int(c[StatusOK].Value()),
+		BadRequests: int(c[StatusBadRequest].Value() + c[StatusUnknownTenant].Value()),
+		Rejected:    int(c[StatusBusy].Value() + c[StatusShuttingDown].Value()),
+		Panics:      int(c[StatusInternal].Value()),
+		Dropped:     dropped,
+	}
 }
 
 // PoolStats returns a snapshot of the evaluation worker pool's scheduling
@@ -466,7 +488,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		s.mu.Lock()
 		dropped := s.inflight
-		s.stats.Dropped += dropped
+		s.dropped += dropped
 		for c := range s.conns {
 			c.Close()
 		}
@@ -525,6 +547,13 @@ func (s *Server) Handle(rw io.ReadWriter) {
 // Every exchange — including refusals — is tagged with a monotonically
 // increasing request id that prefixes failure messages and keys the
 // slow-request log.
+//
+// Every path ends in one tail: the response is fully encoded, then
+// accounted (the only account call), then flushed in one write. A client
+// holding its answer therefore never reads counters, histograms, or
+// traces that have not moved yet. Drain still waits for the flush:
+// s.inflight covers the write, only the in-flight gauge moves at
+// accounting.
 func (s *Server) handleRequest(rw io.ReadWriter) (drain bool) {
 	reqID := s.reqSeq.Add(1)
 	var rt *reqTrace
@@ -534,26 +563,47 @@ func (s *Server) handleRequest(rw io.ReadWriter) (drain bool) {
 	trw := newTimedRW(rw, s.cfg.IOTimeout, time.Time{})
 
 	s.mu.Lock()
-	if s.draining {
-		s.stats.Rejected++
-		s.mu.Unlock()
-		s.outcome(rt, StatusShuttingDown)
-		s.writeFailure(trw, StatusShuttingDown, fmt.Sprintf("req %d: server is shutting down", reqID))
-		return true
+	admitted := !s.draining
+	if admitted {
+		s.inflight++
 	}
-	s.inflight++
 	s.mu.Unlock()
-	s.met.inflightAdd(1)
-	defer func() {
-		s.met.inflightAdd(-1)
-		s.mu.Lock()
-		s.inflight--
-		if s.draining && s.inflight == 0 {
-			s.closeDrained()
-		}
-		s.mu.Unlock()
-	}()
+	var frame []byte
+	var we *wireError
+	if admitted {
+		s.met.inflightAdd(1)
+		defer func() {
+			s.mu.Lock()
+			s.inflight--
+			if s.draining && s.inflight == 0 {
+				s.closeDrained()
+			}
+			s.mu.Unlock()
+		}()
+		frame, we = s.admit(trw, rt)
+	} else {
+		we = &wireError{StatusShuttingDown, "server is shutting down"}
+	}
 
+	st := StatusOK
+	if we != nil {
+		st = we.status
+		frame = failureFrame(st, fmt.Sprintf("req %d: %s", reqID, we.msg))
+		// The failure report gets one fresh I/O window even when the
+		// request died by exhausting its budget.
+		trw.abs = time.Now().Add(s.cfg.IOTimeout)
+	} else {
+		rt.lap(phaseEncode)
+	}
+	s.account(rt, st, admitted)
+	trw.Write(frame) //nolint:errcheck // the peer may be gone; it is accounted either way
+	return we != nil
+}
+
+// admit runs an admitted exchange through deadline-aware shedding and
+// the admission queue, then serves it under its request budget. It
+// returns the encoded success frame or the typed failure to report.
+func (s *Server) admit(trw *timedRW, rt *reqTrace) ([]byte, *wireError) {
 	// The request budget starts at arrival: time spent waiting in the
 	// admission queue is the client's time too.
 	deadline := time.Now().Add(s.cfg.RequestBudget)
@@ -564,28 +614,17 @@ func (s *Server) handleRequest(rw io.ReadWriter) (drain bool) {
 		// never sheds.
 		busy, queued := s.adm.load()
 		if hint, ok := s.shed.shouldAdmit(time.Now(), deadline, busy, queued); !ok {
-			s.mu.Lock()
-			s.stats.Rejected++
-			s.mu.Unlock()
 			s.met.observeShed()
 			rt.markShed()
-			s.outcome(rt, StatusBusy)
-			msg := fmt.Sprintf("req %d: shed: projected completion exceeds the request budget (%d busy, %d queued)",
-				reqID, busy, queued)
-			s.writeFailure(trw, StatusBusy, withRetryAfterHint(msg, hint))
-			return true
+			msg := fmt.Sprintf("shed: projected completion exceeds the request budget (%d busy, %d queued)", busy, queued)
+			return nil, &wireError{StatusBusy, withRetryAfterHint(msg, hint)}
 		}
 	}
 	wait, decision := s.adm.acquire(deadline)
 	if decision != admitOK {
-		s.mu.Lock()
-		s.stats.Rejected++
-		s.mu.Unlock()
-		s.outcome(rt, StatusBusy)
-		msg := fmt.Sprintf("req %d: server at capacity (%d concurrent, %d queued)",
-			reqID, s.cfg.MaxConcurrent, s.adm.queued())
+		msg := fmt.Sprintf("server at capacity (%d concurrent, %d queued)", s.cfg.MaxConcurrent, s.adm.queued())
 		if decision == admitDeadline {
-			msg = fmt.Sprintf("req %d: request budget exhausted after %v in the admission queue", reqID, wait.Round(time.Millisecond))
+			msg = fmt.Sprintf("request budget exhausted after %v in the admission queue", wait.Round(time.Millisecond))
 		}
 		if s.shed != nil {
 			// With shedding on, every busy refusal carries a hint; the
@@ -594,10 +633,9 @@ func (s *Server) handleRequest(rw io.ReadWriter) (drain bool) {
 			busy, queued := s.adm.load()
 			msg = withRetryAfterHint(msg, s.shed.retryAfter(busy, queued))
 		}
-		s.writeFailure(trw, StatusBusy, msg)
-		return true
+		return nil, &wireError{StatusBusy, msg}
 	}
-	rt.timePhase(phaseQueue, wait)
+	rt.admitted(wait)
 	// The batched path hands its slot back while the request parks in the
 	// batch (the flush re-acquires one slot for the whole batch), so the
 	// release must be idempotent.
@@ -611,49 +649,25 @@ func (s *Server) handleRequest(rw io.ReadWriter) (drain bool) {
 	defer releaseSlot()
 
 	trw.abs = deadline
-	err := s.serveRequest(trw, rt, releaseSlot)
-	if err == nil {
-		s.outcome(rt, StatusOK)
-		return false
-	}
-	var we *wireError
-	if !errors.As(err, &we) {
-		// Transport-level failure before classification; report it as a
-		// bad request — if the peer is gone the write just fails silently.
-		we = &wireError{StatusBadRequest, err.Error()}
-	}
-	s.mu.Lock()
-	switch we.status {
-	case StatusInternal:
-		s.stats.Panics++
-	default:
-		s.stats.BadRequests++
-	}
-	s.mu.Unlock()
-	s.outcome(rt, we.status)
-	// The failure report gets one fresh I/O window even when the request
-	// died by exhausting its budget.
-	trw.abs = time.Now().Add(s.cfg.IOTimeout)
-	s.writeFailure(trw, we.status, fmt.Sprintf("req %d: %s", reqID, we.msg))
-	return true
+	return s.serveRequest(trw, rt, releaseSlot)
 }
 
-// serveRequest runs one exchange, timing each lifecycle phase into rt
-// (nil rt skips all timing). Any panic below it — corrupt ciphertext
-// structure surviving validation, scale drift in the evaluator, a bug
-// in a layer kernel — is confined to this request and surfaced as
-// StatusInternal.
-func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (err error) {
+// serveRequest reads, validates, and evaluates one request, timing each
+// lifecycle phase into rt (nil rt skips all timing), and returns the
+// encoded success frame; it never writes to rw. Any panic below it —
+// corrupt ciphertext structure surviving validation, scale drift in the
+// evaluator, a bug in a layer kernel — is confined to this request and
+// surfaced as StatusInternal.
+func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (frame []byte, we *wireError) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &wireError{StatusInternal, fmt.Sprintf("evaluation panic: %v", r)}
+			frame, we = nil, &wireError{StatusInternal, fmt.Sprintf("evaluation panic: %v", r)}
 		}
 	}()
 
-	phaseStart := time.Now()
 	var cntBuf [4]byte
 	if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-		return &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
 	}
 	raw := binary.LittleEndian.Uint32(cntBuf[:])
 	// traceMagic carries the client's trace context (trace.go). It leads
@@ -663,11 +677,11 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 	if raw == traceMagic {
 		tc, err := readTraceBody(rw)
 		if err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading trace context: %v", err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading trace context: %v", err)}
 		}
 		rt.setWire(tc)
 		if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
 		}
 		raw = binary.LittleEndian.Uint32(cntBuf[:])
 	}
@@ -680,19 +694,18 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 	if raw == routeMagic {
 		hdr, err := readRouteBody(rw)
 		if err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading route frame: %v", err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading route frame: %v", err)}
 		}
-		var we *wireError
 		if run, we = s.resolveTenant(hdr); we != nil {
-			return we
+			return nil, we
 		}
 		rt.setTenant(hdr.Tenant)
 		if !run.acquireQuota() {
-			return &wireError{StatusBusy, fmt.Sprintf("tenant %q at its admission quota (%d concurrent)", hdr.Tenant, cap(run.quota))}
+			return nil, &wireError{StatusBusy, fmt.Sprintf("tenant %q at its admission quota (%d concurrent)", hdr.Tenant, cap(run.quota))}
 		}
 		defer run.releaseQuota()
 		if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
 		}
 		raw = binary.LittleEndian.Uint32(cntBuf[:])
 	}
@@ -703,12 +716,12 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 	crc := raw == crcMagic
 	if crc {
 		if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
 		}
 		raw = binary.LittleEndian.Uint32(cntBuf[:])
 	}
 	if raw == batchMagic && run.bat != nil {
-		return s.serveBatched(rw, run, rt, phaseStart, releaseSlot, crc)
+		return s.serveBatched(rw, run, rt, releaseSlot, crc)
 	}
 	count := int(raw)
 	// Reject a hostile count before comparing against the model shape or
@@ -716,33 +729,25 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 	// request against a server without batching enabled lands here too —
 	// the magic is deliberately far above the cap.
 	if count < 1 || count > maxRequestCiphertexts {
-		return &wireError{StatusBadRequest, fmt.Sprintf("request ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("request ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
 	}
 	expect := run.net.Layers[0].(*hecnn.ConvPacked).NumPositions()
 	if count != expect {
-		return &wireError{StatusBadRequest, fmt.Sprintf("expected %d packed ciphertexts, got %d", expect, count)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d packed ciphertexts, got %d", expect, count)}
 	}
 	cts := make([]*hecnn.CT, 0, count)
 	for i := 0; i < count; i++ {
 		ct, err := ckks.ReadCiphertext(rw, run.params)
 		if err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
 		}
 		cts = append(cts, hecnn.WrapCiphertext(ct))
 	}
-	if rt != nil {
-		now := time.Now()
-		rt.timePhase(phaseDecode, now.Sub(phaseStart))
-		phaseStart = now
-	}
+	rt.lap(phaseDecode)
 	if err := run.net.ValidateCiphertexts(cts, run.params.MaxLevel()); err != nil {
-		return &wireError{StatusBadRequest, err.Error()}
+		return nil, &wireError{StatusBadRequest, err.Error()}
 	}
-	if rt != nil {
-		now := time.Now()
-		rt.timePhase(phaseValidate, now.Sub(phaseStart))
-		phaseStart = now
-	}
+	rt.lap(phaseValidate)
 
 	if s.testEvalHook != nil {
 		s.testEvalHook()
@@ -760,9 +765,7 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 		}
 		out = run.net.EvaluateTraced(run.backend(rec), cts, tr)
 		rt.layers = tr.Stats
-		now := time.Now()
-		rt.timePhase(phaseEvaluate, now.Sub(phaseStart))
-		phaseStart = now
+		rt.lap(phaseEvaluate)
 	} else {
 		out = run.net.EvaluateEncrypted(run.backend(nil), cts)
 	}
@@ -770,70 +773,42 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (er
 		s.shed.observe(time.Since(evalStart))
 		s.met.setEvalEWMA(s.shed.estimate())
 	}
-
-	var w io.Writer = rw
-	var cw *crcWriter
-	if crc {
-		cw = newCRCWriter(rw)
-		w = cw
-	}
-	if _, err := w.Write([]byte{byte(StatusOK)}); err != nil {
-		return nil // client gone; nothing to report
-	}
-	if _, err := out.Ciphertext().WriteTo(w); err != nil {
-		return nil
-	}
-	if crc {
-		writeTrailer(rw, cw.h.Sum32()) //nolint:errcheck // peer may be gone
-	}
-	rt.timePhase(phaseEncode, time.Since(phaseStart))
-	s.mu.Lock()
-	s.stats.Served++
-	s.mu.Unlock()
-	return nil
+	return successFrame(nil, []*hecnn.CT{out}, crc), nil
 }
 
 // serveBatched runs one batched exchange: decode and validate the
 // position-major ciphertexts, hand the evaluation slot back, park in the
-// batch scheduler, and — when the flush delivers — ship the shared logit
-// ciphertexts plus this member's slot index. The scheduler evaluates
-// whole batches under one evaluation slot; a member whose budget expires
-// while parked claims itself away from the next flush and is refused
-// with StatusBusy, never stalling the batch.
-func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, phaseStart time.Time, releaseSlot func(), crc bool) error {
+// batch scheduler, and — when the flush delivers — encode the shared
+// logit ciphertexts plus this member's slot index. The scheduler
+// evaluates whole batches under one evaluation slot; a member whose
+// budget expires while parked claims itself away from the next flush and
+// is refused with StatusBusy, never stalling the batch.
+func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, releaseSlot func(), crc bool) ([]byte, *wireError) {
 	bnet := run.bat.net
 	var cntBuf [4]byte
 	if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-		return &wireError{StatusBadRequest, fmt.Sprintf("reading batched request header: %v", err)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading batched request header: %v", err)}
 	}
 	count := int(binary.LittleEndian.Uint32(cntBuf[:]))
 	if count < 1 || count > maxRequestCiphertexts {
-		return &wireError{StatusBadRequest, fmt.Sprintf("batched ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("batched ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
 	}
 	if expect := bnet.InputSize(); count != expect {
-		return &wireError{StatusBadRequest, fmt.Sprintf("expected %d position-major ciphertexts, got %d", expect, count)}
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d position-major ciphertexts, got %d", expect, count)}
 	}
 	cts := make([]*hecnn.CT, 0, count)
 	for i := 0; i < count; i++ {
 		ct, err := ckks.ReadCiphertext(rw, run.bparams)
 		if err != nil {
-			return &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
 		}
 		cts = append(cts, hecnn.WrapCiphertext(ct))
 	}
-	if rt != nil {
-		now := time.Now()
-		rt.timePhase(phaseDecode, now.Sub(phaseStart))
-		phaseStart = now
-	}
+	rt.lap(phaseDecode)
 	if err := bnet.ValidateBatchCiphertexts(cts, run.bparams.MaxLevel()); err != nil {
-		return &wireError{StatusBadRequest, err.Error()}
+		return nil, &wireError{StatusBadRequest, err.Error()}
 	}
-	if rt != nil {
-		now := time.Now()
-		rt.timePhase(phaseValidate, now.Sub(phaseStart))
-		phaseStart = now
-	}
+	rt.lap(phaseValidate)
 	if s.testEvalHook != nil {
 		s.testEvalHook()
 	}
@@ -852,7 +827,7 @@ func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, pha
 		m.wt = rt.wt
 	}
 	if we := run.bat.submit(m); we != nil {
-		return we
+		return nil, we
 	}
 	timer := time.NewTimer(time.Until(m.deadline))
 	defer timer.Stop()
@@ -862,72 +837,97 @@ func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, pha
 	case <-timer.C:
 		if m.claimed.CompareAndSwap(false, true) {
 			// Still parked: withdraw before any flush claims it.
-			return &wireError{StatusBusy, "request budget expired waiting for a batch"}
+			return nil, &wireError{StatusBusy, "request budget expired waiting for a batch"}
 		}
 		// A flush owns this member; its result is imminent.
 		out = <-m.result
 	}
 	if rt != nil {
-		now := time.Now()
-		rt.timePhase(phaseEvaluate, now.Sub(phaseStart))
-		phaseStart = now
+		rt.lap(phaseEvaluate)
 		// The member's request trace links forward to the flush trace that
 		// evaluated it (and remembers whether it took the degraded path).
 		rt.flushCtx = out.flush
 		rt.degraded = out.degraded
 	}
 	if out.err != nil {
-		return out.err
+		return nil, out.err
 	}
-
-	var w io.Writer = rw
-	var cw *crcWriter
-	if crc {
-		cw = newCRCWriter(rw)
-		w = cw
-	}
-	var hdr [9]byte
-	hdr[0] = byte(StatusOK)
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(out.slot))
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(out.outs)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return nil // client gone; nothing to report
-	}
-	for _, ct := range out.outs {
-		if _, err := ct.Ciphertext().WriteTo(w); err != nil {
-			return nil
-		}
-	}
-	if crc {
-		writeTrailer(rw, cw.h.Sum32()) //nolint:errcheck // peer may be gone
-	}
-	rt.timePhase(phaseEncode, time.Since(phaseStart))
-	s.mu.Lock()
-	s.stats.Served++
-	s.mu.Unlock()
-	return nil
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(out.slot))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(out.outs)))
+	return successFrame(hdr[:], out.outs, crc), nil
 }
 
-// writeFailure sends a typed failure response, truncating the message to
-// the wire cap. Write errors are ignored: the peer may already be gone.
-func (s *Server) writeFailure(w io.Writer, status Status, msg string) {
-	WriteFailure(w, status, msg)
+// successFrame encodes a complete success response into one exactly
+// sized buffer: the status byte, the optional batch slot/count header,
+// the ciphertexts, and — on CRC-framed requests — the trailer over every
+// byte before it.
+func successFrame(hdr []byte, cts []*hecnn.CT, crc bool) []byte {
+	size := 1 + len(hdr)
+	for _, ct := range cts {
+		size += ct.Ciphertext().SerializedSize()
+	}
+	if crc {
+		size += trailerBytes
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	buf.WriteByte(byte(StatusOK))
+	buf.Write(hdr)
+	for _, ct := range cts {
+		ct.Ciphertext().WriteTo(buf) //nolint:errcheck // bytes.Buffer never errors
+	}
+	if crc {
+		return appendTrailer(buf.Bytes())
+	}
+	return buf.Bytes()
 }
 
-// WriteFailure writes a typed failure response in the server's wire
-// framing: the status byte, then the uint32-length-delimited message,
-// truncated to the wire cap. Exported for the gateway, which refuses a
-// request in the protocol's own vocabulary when no shard is reachable.
-// Write errors are ignored: the peer may already be gone.
-func WriteFailure(w io.Writer, status Status, msg string) {
+// failureFrame encodes a typed failure response: the status byte, then
+// the uint32-length-delimited message, truncated to the wire cap.
+func failureFrame(status Status, msg string) []byte {
 	if len(msg) > maxErrorMessageBytes {
 		msg = msg[:maxErrorMessageBytes]
 	}
-	var hdr [5]byte
-	hdr[0] = byte(status)
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(msg)))
-	w.Write(hdr[:])        //nolint:errcheck
-	io.WriteString(w, msg) //nolint:errcheck
+	b := make([]byte, 5, 5+len(msg))
+	b[0] = byte(status)
+	binary.LittleEndian.PutUint32(b[1:], uint32(len(msg)))
+	return append(b, msg...)
+}
+
+// WriteFailure writes a typed failure response in the server's wire
+// framing (see failureFrame) in one write. Exported for the gateway,
+// which refuses a request in the protocol's own vocabulary when no shard
+// is reachable. Write errors are ignored: the peer may already be gone.
+func WriteFailure(w io.Writer, status Status, msg string) {
+	w.Write(failureFrame(status, msg)) //nolint:errcheck
+}
+
+// readStatus consumes a response's status byte and, on any status but
+// StatusOK, the rest of the failure frame: the uint32 length and the
+// message, refused beyond maxErrorMessageBytes. It returns the bytes
+// consumed and, for a failure, the typed error that ends the exchange;
+// nil means the success payload follows.
+func readStatus(r io.Reader) (int64, error) {
+	var b [5]byte
+	if _, err := io.ReadFull(r, b[:1]); err != nil {
+		return 0, &TransportError{Err: err}
+	}
+	code := Status(b[0])
+	if code == StatusOK {
+		return 1, nil
+	}
+	if _, err := io.ReadFull(r, b[1:]); err != nil {
+		return 1, &TransportError{Partial: true, Err: err}
+	}
+	msgLen := binary.LittleEndian.Uint32(b[1:])
+	if msgLen > maxErrorMessageBytes {
+		return 5, &StatusError{Code: code, Msg: "(error message exceeds wire cap)"}
+	}
+	msg := make([]byte, msgLen)
+	if _, err := io.ReadFull(r, msg); err != nil {
+		return 5, &TransportError{Partial: true, Err: err}
+	}
+	return 5 + int64(msgLen), &StatusError{Code: code, Msg: string(msg)}
 }
 
 // deadliner is the subset of net.Conn needed for rolling deadlines.
@@ -1174,36 +1174,17 @@ func writeInferRequest(w io.Writer, cts []*ckks.Ciphertext, route RouteHeader, f
 // concurrently; decryption stays with the single caller via
 // decodeLogits.
 func (c *Client) readResponse(r io.Reader) (*ckks.Ciphertext, int64, error) {
-	var recv int64
 	src := r
 	var cr *crcReader
 	if c.FrameCheck {
 		cr = newCRCReader(r)
 		src = cr
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(src, status[:]); err != nil {
-		return nil, recv, &TransportError{Err: err}
-	}
-	recv++
-	if code := Status(status[0]); code != StatusOK {
-		// Failure frames never carry a trailer: some refusals are written
-		// before the server has read the request's framing advertisement.
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(src, lenBuf[:]); err != nil {
-			return nil, recv, &TransportError{Partial: true, Err: err}
-		}
-		recv += 4
-		msgLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if msgLen > maxErrorMessageBytes {
-			return nil, recv, &StatusError{Code: code, Msg: "(error message exceeds wire cap)"}
-		}
-		msg := make([]byte, msgLen)
-		if _, err := io.ReadFull(src, msg); err != nil {
-			return nil, recv, &TransportError{Partial: true, Err: err}
-		}
-		recv += int64(msgLen)
-		return nil, recv, &StatusError{Code: code, Msg: string(msg)}
+	// Failure frames never carry a trailer: some refusals are written
+	// before the server has read the request's framing advertisement.
+	recv, err := readStatus(src)
+	if err != nil {
+		return nil, recv, err
 	}
 	out, err := ckks.ReadCiphertext(src, c.params)
 	if err != nil {
@@ -1355,27 +1336,10 @@ func (c *BatchClient) inferSpan(ctx context.Context, conn io.ReadWriter, img *cn
 		cr = newCRCReader(trw)
 		src = cr
 	}
-	var status [1]byte
-	if _, err := io.ReadFull(src, status[:]); err != nil {
-		return nil, &TransportError{Err: err}
-	}
-	c.BytesReceived++
-	if code := Status(status[0]); code != StatusOK {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(src, lenBuf[:]); err != nil {
-			return nil, &TransportError{Partial: true, Err: err}
-		}
-		c.BytesReceived += 4
-		msgLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if msgLen > maxErrorMessageBytes {
-			return nil, &StatusError{Code: code, Msg: "(error message exceeds wire cap)"}
-		}
-		msg := make([]byte, msgLen)
-		if _, err := io.ReadFull(src, msg); err != nil {
-			return nil, &TransportError{Partial: true, Err: err}
-		}
-		c.BytesReceived += int64(msgLen)
-		return nil, &StatusError{Code: code, Msg: string(msg)}
+	recv, err := readStatus(src)
+	c.BytesReceived += recv
+	if err != nil {
+		return nil, err
 	}
 
 	var shdr [8]byte

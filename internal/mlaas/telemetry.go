@@ -135,9 +135,30 @@ type layerMetrics struct {
 	ks      *telemetry.Counter
 }
 
+// statusCounters holds one exchange counter per typed wire status,
+// indexed by Status.
+type statusCounters [StatusUnknownTenant + 1]*telemetry.Counter
+
+// newStatusCounters resolves the per-status counters of one family from
+// reg, the status label last. With reg nil the counters are zero-value
+// ones: they count, but nothing exports them.
+func newStatusCounters(reg *telemetry.Registry, name, help string, labels ...telemetry.Label) *statusCounters {
+	var cs statusCounters
+	for st := range cs {
+		if reg == nil {
+			cs[st] = new(telemetry.Counter)
+			continue
+		}
+		lbls := append(labels[:len(labels):len(labels)], telemetry.L("status", Status(st).String()))
+		cs[st] = reg.Counter(name, help, lbls...)
+	}
+	return &cs
+}
+
 // serverMetrics holds every handle the request path needs, resolved once.
+// The per-status request counters live on the Server itself, since Stats
+// reads them with or without a registry.
 type serverMetrics struct {
-	requests [6]*telemetry.Counter // indexed by Status
 	phases   [numPhases]*telemetry.Histogram
 	request  *telemetry.Histogram
 	inflight *telemetry.Gauge
@@ -157,18 +178,14 @@ type serverMetrics struct {
 	// resolved at construction like everything above.
 	reg      *telemetry.Registry
 	tenantMu sync.Mutex
-	tenants  map[string]*[6]*telemetry.Counter
+	tenants  map[string]*statusCounters
 }
 
 func newServerMetrics(reg *telemetry.Registry, henet *hecnn.Network) *serverMetrics {
 	if reg == nil {
 		return nil
 	}
-	m := &serverMetrics{layers: map[string]layerMetrics{}, reg: reg, tenants: map[string]*[6]*telemetry.Counter{}}
-	for st := StatusOK; st <= StatusUnknownTenant; st++ {
-		m.requests[st] = reg.Counter(MetricRequestsTotal,
-			"completed exchanges by typed wire status", telemetry.L("status", st.String()))
-	}
+	m := &serverMetrics{layers: map[string]layerMetrics{}, reg: reg, tenants: map[string]*statusCounters{}}
 	for p := phase(0); p < numPhases; p++ {
 		m.phases[p] = reg.Histogram(MetricPhaseSeconds,
 			"request lifecycle phase latency", nil, telemetry.L("phase", p.String()))
@@ -232,12 +249,9 @@ func (m *serverMetrics) observeTenant(tenant string, st Status) {
 	m.tenantMu.Lock()
 	cs, ok := m.tenants[tenant]
 	if !ok {
-		cs = new([6]*telemetry.Counter)
-		for s := StatusOK; s <= StatusUnknownTenant; s++ {
-			cs[s] = m.reg.Counter(MetricTenantRequests,
-				"completed routed exchanges by tenant and typed wire status",
-				telemetry.L("tenant", tenant), telemetry.L("status", s.String()))
-		}
+		cs = newStatusCounters(m.reg, MetricTenantRequests,
+			"completed routed exchanges by tenant and typed wire status",
+			telemetry.L("tenant", tenant))
 		m.tenants[tenant] = cs
 	}
 	m.tenantMu.Unlock()
@@ -292,11 +306,14 @@ func (m *serverMetrics) observeLayer(st hecnn.LayerStat) {
 }
 
 // reqTrace carries one request's phase timings and layer breakdown from
-// admission to outcome. It exists only when the server observes requests
-// (metrics, slow-request log, or flight recorder enabled).
+// admission to accounting. It exists only when the server observes
+// requests (metrics, slow-request log, or flight recorder enabled).
 type reqTrace struct {
-	id     uint64
-	start  time.Time
+	id    uint64
+	start time.Time
+	// mark is where the running phase began: admitted starts the first
+	// one, and lap closes a phase at now and moves mark there.
+	mark   time.Time
 	phases [numPhases]time.Duration
 	layers []hecnn.LayerStat
 
@@ -309,11 +326,11 @@ type reqTrace struct {
 	shed     bool
 	degraded bool
 	// tenant is the routed tenant name ("" for default-tenant requests);
-	// it keys the per-tenant outcome counters.
+	// it keys the per-tenant exchange counters.
 	tenant string
 }
 
-// setTenant records the routed tenant for outcome accounting.
+// setTenant records the routed tenant for accounting.
 func (rt *reqTrace) setTenant(name string) {
 	if rt == nil {
 		return
@@ -329,6 +346,26 @@ func (rt *reqTrace) timePhase(p phase, d time.Duration) {
 		return
 	}
 	rt.phases[p] += d
+}
+
+// admitted records the admission-queue wait and starts the decode phase.
+func (rt *reqTrace) admitted(wait time.Duration) {
+	if rt == nil {
+		return
+	}
+	rt.timePhase(phaseQueue, wait)
+	rt.mark = time.Now()
+}
+
+// lap closes phase p at now: it records the time since the previous lap
+// (or since admission) and starts the next phase there.
+func (rt *reqTrace) lap(p phase) {
+	if rt == nil {
+		return
+	}
+	now := time.Now()
+	rt.timePhase(p, now.Sub(rt.mark))
+	rt.mark = now
 }
 
 // setWire stores the client's propagated trace context.
@@ -347,14 +384,19 @@ func (rt *reqTrace) markShed() {
 	rt.shed = true
 }
 
-// outcome finalizes a request: status counter, phase histograms (with
-// exemplars pointing at the recorded trace), whole-request histogram,
-// the flight-recorder entry, and — when over the threshold — one
-// structured slow-request log line with the per-layer span breakdown.
-func (s *Server) outcome(rt *reqTrace, st Status) {
+// account is an exchange's one accounting call, made after its response
+// is fully encoded and before the first response byte reaches the wire:
+// status and tenant counters, phase histograms (with exemplars pointing
+// at the recorded trace), whole-request histogram, the in-flight gauge
+// (admitted exchanges only), the flight-recorder entry, and — when over
+// the threshold — one structured slow-request log line with the
+// per-layer span breakdown. The encode phase and the request total
+// therefore end at serialization, not at the socket flush.
+func (s *Server) account(rt *reqTrace, st Status, admitted bool) {
+	s.requests[st].Inc()
 	m := s.met
-	if m != nil {
-		m.requests[st].Inc()
+	if admitted {
+		m.inflightAdd(-1)
 	}
 	if rt == nil {
 		return
@@ -421,7 +463,7 @@ func buildRequestSpan(rt *reqTrace, st Status, total time.Duration) *telemetry.S
 }
 
 // recordTrace snapshots the finished request into the flight recorder:
-// the span tree joins the client's trace (rt.wt resolved by outcome),
+// the span tree joins the client's trace (rt.wt resolved by account),
 // links forward to any batch flush that evaluated it, and carries the
 // tail-sampler's always-keep tags.
 func (s *Server) recordTrace(rt *reqTrace, st Status, total time.Duration, slow bool) {
@@ -475,8 +517,10 @@ func (s *Server) NewDigest() *Digest {
 func (d *Digest) Line() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := d.s.Stats()
-	total := int64(st.Served + st.BadRequests + st.Rejected + st.Panics)
+	var total int64
+	for _, c := range d.s.requests {
+		total += c.Value()
+	}
 	now := time.Now()
 	dt := now.Sub(d.lastTime).Seconds()
 	rate := 0.0
@@ -487,16 +531,15 @@ func (d *Digest) Line() string {
 	d.lastReqs = total
 
 	p50, p99 := "n/a", "n/a"
-	busy := int64(st.Rejected) // includes shutting-down refusals
 	if m := d.s.met; m != nil {
-		busy = m.requests[StatusBusy].Value()
 		if h := m.phases[phaseEvaluate]; h.Count() > 0 {
 			p50 = fmtSeconds(h.Quantile(0.5))
 			p99 = fmtSeconds(h.Quantile(0.99))
 		}
 	}
+	st := d.s.Stats()
 	return fmt.Sprintf("req/s=%.2f evaluate_p50=%s evaluate_p99=%s served=%d busy_refused=%d bad=%d panics=%d",
-		rate, p50, p99, st.Served, busy, st.BadRequests, st.Panics)
+		rate, p50, p99, st.Served, d.s.requests[StatusBusy].Value(), st.BadRequests, st.Panics)
 }
 
 func fmtSeconds(v float64) string {

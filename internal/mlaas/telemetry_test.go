@@ -163,7 +163,7 @@ func TestSlowRequestLogBreakdown(t *testing.T) {
 	}
 	conn.Close()
 
-	// The log line is written inside outcome(), before the response reaches
+	// The log line is written inside account(), before the response reaches
 	// the client, so it is visible by now — but poll briefly to be safe
 	// against scheduling of the handler goroutine's tail.
 	deadline := time.Now().Add(2 * time.Second)
@@ -259,7 +259,7 @@ func TestStatsSnapshotConsistentUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := fx.server.Stats()
+	st := assertStatsMatchCounters(t, fx.server, fx.reg)
 	if st.Served != goodReqs || st.BadRequests != badReqs || st.Panics != 0 {
 		t.Fatalf("final stats %+v, want served=%d bad=%d", st, goodReqs, badReqs)
 	}

@@ -13,11 +13,19 @@ import (
 
 	"fxhenn/internal/cnn"
 	"fxhenn/internal/registry"
+	"fxhenn/internal/telemetry"
 )
 
 // newTenantFixture builds a multi-tenant server over an in-memory
 // registry with the standard catalog, plus a dialable listener.
 func newTenantFixture(t *testing.T, recs ...registry.Record) (*Server, *registry.Registry, string) {
+	t.Helper()
+	return newTenantFixtureWith(t, Config{}, recs...)
+}
+
+// newTenantFixtureWith is newTenantFixture over a base configuration;
+// the registry and catalog fields are filled in here.
+func newTenantFixtureWith(t *testing.T, cfg Config, recs ...registry.Record) (*Server, *registry.Registry, string) {
 	t.Helper()
 	fx := newFixture(t)
 	reg := registry.New(registry.NewMemStore())
@@ -26,10 +34,9 @@ func newTenantFixture(t *testing.T, recs ...registry.Record) (*Server, *registry
 			t.Fatal(err)
 		}
 	}
-	s := NewServerWithConfig(fx.params, fx.henet, fx.rlk, fx.rtk, Config{
-		Registry: reg,
-		Models:   StandardCatalog(),
-	})
+	cfg.Registry = reg
+	cfg.Models = StandardCatalog()
+	s := NewServerWithConfig(fx.params, fx.henet, fx.rlk, fx.rtk, cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,12 +180,15 @@ func TestTenantUnknownAndGenerationMismatch(t *testing.T) {
 // TestTenantQuota pins the per-tenant admission quota: with alice capped
 // at 1 concurrent evaluation, a second simultaneous request is refused
 // StatusBusy while bob (uncapped) is untouched — tenant saturation never
-// consumes another tenant's headroom.
+// consumes another tenant's headroom. The quota refusal and an
+// unknown-tenant refusal must land in Stats exactly where the status
+// counters put them (busy → Rejected, unknown-tenant → BadRequests).
 func TestTenantQuota(t *testing.T) {
 	alice := registry.Record{Tenant: "alice", Model: "tiny", WeightSeed: 100, KeySeed: 101,
 		Quota: registry.Quota{MaxConcurrent: 1}}
 	bob := registry.Record{Tenant: "bob", Model: "tiny", WeightSeed: 100, KeySeed: 301}
-	s, reg, addr := newTenantFixture(t, alice, bob)
+	metrics := telemetry.NewRegistry()
+	s, reg, addr := newTenantFixtureWith(t, Config{Metrics: metrics}, alice, bob)
 
 	// Stall evaluation so concurrent requests overlap deterministically.
 	gate := make(chan struct{})
@@ -236,6 +246,18 @@ func TestTenantQuota(t *testing.T) {
 	conn.Close()
 	if err != nil {
 		t.Fatalf("bob during alice saturation: %v", err)
+	}
+
+	bclient.Tenant = "mallory"
+	conn = dialT(t, addr)
+	_, err = bclient.Infer(context.Background(), conn, img)
+	conn.Close()
+	if !errors.As(err, &se) || se.Code != StatusUnknownTenant {
+		t.Fatalf("unknown tenant: %v, want StatusUnknownTenant", err)
+	}
+	st := assertStatsMatchCounters(t, s, metrics)
+	if want := (Stats{Served: 2, BadRequests: 1, Rejected: 1}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }
 
