@@ -1,5 +1,5 @@
 // Command gateway runs the stateless multi-tenant front door of a
-// sharded evaluator fleet: it peeks each request's tenant routing frame,
+// sharded evaluator fleet: it reads each request's header for the tenant,
 // picks the tenant's home shard on a consistent-hash ring, and splices
 // bytes between client and shard without ever parsing a ciphertext.
 // Tenant state (keys, compiled network, warmed plaintext cache) lives on
@@ -41,7 +41,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	shardList := flag.String("shards", "", "comma-separated name=addr evaluator shards (required)")
-	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "client/shard deadline and shard dial budget")
+	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "deadline for reading the request header, for each shard dial, and for the whole spliced exchange (absolute, not per read)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive dial failures that open a shard's breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker rejects before allowing a probe")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /metrics.json on this address (empty disables)")

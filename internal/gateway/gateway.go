@@ -1,10 +1,11 @@
 // Package gateway is the stateless front door of the sharded evaluator
-// fleet: it peeks each request's tenant routing frame (mlaas.PeekRoute),
-// picks the tenant's home shard on a consistent-hash ring, and splices
-// bytes between client and shard without parsing — or holding — any
-// ciphertext. All tenant state (keys, compiled network, plaintext cache)
-// lives on the shard; the gateway holds only the ring and per-shard
-// breakers, so any number of gateways can front the same fleet.
+// fleet: it reads each request's header (mlaas.PeekRoute, at most 182
+// bytes) for the tenant route, picks the tenant's home shard on a
+// consistent-hash ring, and splices bytes between client and shard
+// without parsing — or holding — any ciphertext. All tenant state (keys,
+// compiled network, plaintext cache) lives on the shard; the gateway
+// holds only the ring and per-shard breakers, so any number of gateways
+// can front the same fleet.
 //
 // Unreachable shards trip a consecutive-failure breaker and the request
 // re-routes to the tenant's next shard in ring order — deterministically,
@@ -62,8 +63,10 @@ func (s Shard) dial(ctx context.Context) (net.Conn, error) {
 
 // Config bounds a Gateway. The zero value takes every default.
 type Config struct {
-	// IOTimeout is the rolling deadline for the client connection and
-	// the budget for dialing a shard. Default 30s.
+	// IOTimeout bounds three things, each with one absolute deadline set
+	// once, not renewed per read: reading the request header from the
+	// client, dialing one shard, and the whole spliced exchange (both
+	// connections, request and response). Default 30s.
 	IOTimeout time.Duration
 	// BreakerThreshold is how many consecutive dial failures open a
 	// shard's breaker. Default 3.
@@ -299,7 +302,7 @@ func (g *Gateway) track(conn net.Conn) (func(), bool) {
 	}, true
 }
 
-// Handle proxies one request: peek the routing frame, pick the tenant's
+// Handle proxies one request: read the request header, pick the tenant's
 // shard chain, splice bytes to the first shard that answers.
 func (g *Gateway) Handle(conn net.Conn) {
 	defer conn.Close()
@@ -311,7 +314,7 @@ func (g *Gateway) Handle(conn net.Conn) {
 	defer untrack()
 
 	conn.SetReadDeadline(g.now().Add(g.cfg.IOTimeout)) //nolint:errcheck
-	hdr, consumed, _, err := mlaas.PeekRoute(conn)
+	hdr, consumed, err := mlaas.PeekRoute(conn)
 	if err != nil {
 		// The prefix never arrived or was malformed; the shard-side parser
 		// would refuse it anyway, but there is nothing left to route.

@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fxhenn/internal/mlaas"
 	"fxhenn/internal/telemetry"
 )
 
@@ -93,6 +95,70 @@ func TestGatewayTruncatedPrefix(t *testing.T) {
 	st, _ := readFailure(t, bytes.NewReader(resp))
 	if st != 1 { // mlaas.StatusBadRequest
 		t.Fatalf("status %d, want bad-request", st)
+	}
+}
+
+// countingConn counts the bytes read from the client side of a
+// connection.
+type countingConn struct {
+	net.Conn
+	n atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestGatewayPeekBounded: whatever a client sends, the gateway reads at
+// most one request header — 182 bytes, every prefix at its largest plus
+// the count — before it dials a shard. A stream of 1,000 back-to-back
+// trace prefixes is cut after the first (the second reads as the count),
+// and the shard receives the whole stream intact and refuses it.
+func TestGatewayPeekBounded(t *testing.T) {
+	const maxHeaderBytes = 182
+	var req bytes.Buffer
+	for i := 0; i < 1000; i++ {
+		req.Write([]byte{0x31, 0x43, 0x52, 0x54}) // traceMagic "1CRT"
+		req.Write(bytes.Repeat([]byte{7}, 24))    // trace ID, parent span ID
+	}
+	req.Write([]byte{1, 0, 0, 0})
+	request := req.Bytes()
+
+	shardCli, shardSrv := net.Pipe()
+	shardGot := make(chan []byte, 1)
+	go func() {
+		defer shardSrv.Close()
+		got, _ := io.ReadAll(io.LimitReader(shardSrv, int64(len(request))))
+		shardGot <- got
+		mlaas.WriteFailure(shardSrv, mlaas.StatusBadRequest, "request ciphertext count outside [1,4096]")
+	}()
+	cli, gw := net.Pipe()
+	defer cli.Close()
+	counted := &countingConn{Conn: gw}
+	readAtDial := int64(-1)
+	g := New(Config{}, Shard{Name: "a", Dial: func(context.Context) (net.Conn, error) {
+		readAtDial = counted.n.Load()
+		return shardCli, nil
+	}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.Handle(counted)
+	}()
+	go cli.Write(request) //nolint:errcheck // a short write shows as a torn stream below
+
+	st, msg := readFailure(t, cli)
+	<-done
+	if readAtDial < 0 || readAtDial > maxHeaderBytes {
+		t.Fatalf("gateway read %d bytes before dialing a shard, want at most %d", readAtDial, maxHeaderBytes)
+	}
+	if got := <-shardGot; !bytes.Equal(got, request) {
+		t.Fatalf("shard received %d bytes, not the client's %d-byte stream", len(got), len(request))
+	}
+	if st != 1 { // mlaas.StatusBadRequest
+		t.Fatalf("status %d (%s), want the shard's bad-request", st, msg)
 	}
 }
 

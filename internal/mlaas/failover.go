@@ -322,7 +322,7 @@ func (c *Client) attemptOnce(ctx context.Context, ep Endpoint, br *breaker, cts 
 		abs = dl
 	}
 	trw := newTimedRW(conn, c.Timeout, abs)
-	sent, err := writeInferRequest(trw, cts, c.route(), c.FrameCheck, sp.Context())
+	sent, err := writeInferRequest(trw, c.header(sp.Context()), cts)
 	res.sent = sent
 	if err != nil {
 		res.err = &TransportError{Err: fmt.Errorf("%s: %w", ep.Name, err)}

@@ -1,14 +1,10 @@
 package mlaas
 
-// Wire-frame integrity: an optional CRC32 trailer on success responses,
-// negotiated through the same magic-word versioning the batched framing
-// uses. A client that sets FrameCheck prefixes its request with crcMagic
-// (a word far above maxRequestCiphertexts, so an old server refuses it as
-// a hostile ciphertext count instead of misparsing the stream); a server
-// that sees the magic appends [crcMagic][IEEE CRC32 of every response
-// byte from the status byte onward] after the success payload. Old
-// clients never send the magic and old servers never see it, so both
-// legacy directions stay byte-identical on the wire.
+// Wire-frame integrity: an optional CRC32 trailer on success responses.
+// A request whose header carries the crc prefix (header.go) gets
+// [crcMagic][IEEE CRC32 of every response byte from the status byte
+// onward] appended after its success payload; requests without it get
+// byte-identical legacy responses.
 //
 // Why only success frames: the server refuses some requests (drain,
 // admission) before reading a single request byte, so it cannot know
@@ -24,13 +20,9 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
-)
 
-// crcMagic is the first word of a CRC-framed request ("CRC1" as a
-// constant; like batchMagic it is far above maxRequestCiphertexts so
-// servers predating it reject the request with a typed bad-request
-// status instead of misparsing it).
-const crcMagic uint32 = 0x43524331
+	"fxhenn/internal/ckks"
+)
 
 // ErrFrameCorrupt marks a response whose CRC32 trailer did not match the
 // received bytes — or, on a CRC-framed exchange, a response whose payload
@@ -88,4 +80,42 @@ func readTrailer(r io.Reader, sum uint32) error {
 		return errFrameCorruptf("crc 0x%08x, computed 0x%08x", got, sum)
 	}
 	return nil
+}
+
+// readCheckedResponse reads one response: the status (a failure frame
+// ends the exchange there), then the success payload through body, then
+// — when crc — the trailer over every byte from the status byte on. On a
+// CRC-framed exchange a structural decode failure is corruption evidence
+// too, since an honest server produces well-formed frames, so it maps to
+// ErrFrameCorrupt. Payload and trailer errors arrive as partial
+// *TransportError. It returns the bytes consumed.
+func readCheckedResponse(r io.Reader, crc bool, body func(io.Reader) (int64, error)) (int64, error) {
+	src := r
+	var cr *crcReader
+	if crc {
+		cr = newCRCReader(r)
+		src = cr
+	}
+	// Failure frames never carry a trailer: some refusals are written
+	// before the server has read the request's header.
+	recv, err := readStatus(src)
+	if err != nil {
+		return recv, err
+	}
+	n, err := body(src)
+	recv += n
+	if err != nil {
+		if crc && errors.Is(err, ckks.ErrMalformed) {
+			err = errFrameCorruptf("%v", err)
+		}
+		return recv, &TransportError{Partial: true, Err: err}
+	}
+	if crc {
+		// The sum covers the payload, not the trailer bytes read next.
+		if err := readTrailer(r, cr.h.Sum32()); err != nil {
+			return recv, &TransportError{Partial: true, Err: err}
+		}
+		recv += trailerBytes
+	}
+	return recv, nil
 }

@@ -17,7 +17,6 @@ import (
 
 	"fxhenn/internal/ckks"
 	"fxhenn/internal/faultnet"
-	"fxhenn/internal/telemetry"
 )
 
 // TestCRCMagicAboveCount pins the versioning mechanism: both magics must
@@ -253,12 +252,12 @@ func FuzzClientResponse(f *testing.F) {
 	img := randomImage(92)
 	cts := legacy.encryptRequest(img)
 	req := &bytes.Buffer{}
-	if _, err := writeInferRequest(req, cts, RouteHeader{}, false, telemetry.SpanContext{}); err != nil {
+	if _, err := writeInferRequest(req, requestHeader{}, cts); err != nil {
 		f.Fatal(err)
 	}
 	honest := handleBuf(fx.server, req.Bytes()).Bytes()
 	reqCRC := &bytes.Buffer{}
-	if _, err := writeInferRequest(reqCRC, cts, RouteHeader{}, true, telemetry.SpanContext{}); err != nil {
+	if _, err := writeInferRequest(reqCRC, requestHeader{CRC: true}, cts); err != nil {
 		f.Fatal(err)
 	}
 	honestCRC := handleBuf(fx.server, reqCRC.Bytes()).Bytes()

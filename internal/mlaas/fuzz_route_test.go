@@ -8,76 +8,70 @@ import (
 	"fxhenn/internal/telemetry"
 )
 
-// FuzzRouteHeader hardens the gateway's peek boundary: PeekRoute runs on
-// every byte stream a client (or attacker) can open against the gateway,
-// before any authentication or admission, so it must never panic, and the
-// bytes it reports consumed must be exactly the prefix it read — the
-// gateway replays them verbatim to the shard, so any discrepancy would
-// corrupt the proxied stream. Frames that round-trip through
-// writeRouteHeader must come back intact with a bounded tenant name.
+// FuzzRouteHeader hardens the request header decoder, the one parser
+// the server and the gateway's route peek share; the target keeps the
+// peek's name, so its committed corpus stays where it was. The gateway
+// runs the decoder on every byte stream a client (or attacker) can open,
+// before any authentication or admission, so it must never panic and
+// never read past maxHeaderBytes, and the bytes it reports consumed must
+// be exactly the prefix it read — the gateway replays them verbatim to
+// the shard. Every accepted header must re-encode to exactly those
+// bytes, so encoder and decoder agree on all four prefixes.
 func FuzzRouteHeader(f *testing.F) {
 	u32 := func(w uint32) []byte {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], w)
 		return b[:]
 	}
-	route := func(h RouteHeader) []byte {
-		var buf bytes.Buffer
-		if _, err := writeRouteHeader(&buf, h); err != nil {
+	tc := telemetry.SpanContext{Trace: telemetry.TraceID{7}, Span: telemetry.SpanID{9}}
+	// The encoder's output for all 16 prefix combinations.
+	for mask := 0; mask < 16; mask++ {
+		var h requestHeader
+		if mask&1 != 0 {
+			h.Trace = tc
+		}
+		if mask&2 != 0 {
+			h.Route = RouteHeader{Tenant: "alice", Generation: 3}
+		}
+		h.CRC = mask&4 != 0
+		h.Batch = mask&8 != 0
+		b, err := h.appendTo(nil, 9)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		f.Add(b)
+		f.Add(b[:len(b)-1])
 	}
-	trace := func() []byte {
-		var buf bytes.Buffer
-		tc := telemetry.SpanContext{Trace: telemetry.TraceID{7}, Span: telemetry.SpanID{9}}
-		if _, err := writeTraceHeader(&buf, tc); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
 	f.Add([]byte{})
 	f.Add([]byte{0x31})
-	f.Add(u32(1))
 	f.Add(u32(routeMagic))
 	f.Add(append(u32(routeMagic), 0, 0))
 	f.Add(append(u32(routeMagic), 0xFF, 0xFF))
-	f.Add(route(RouteHeader{Tenant: "alice"}))
-	f.Add(route(RouteHeader{Tenant: "alice", Generation: 3}))
-	f.Add(append(route(RouteHeader{Tenant: "bob", Generation: 1}), u32(crcMagic)...))
-	f.Add(append(trace(), route(RouteHeader{Tenant: "carol", Generation: 2})...))
-	f.Add(append(trace(), u32(batchMagic)...))
-	f.Add(u32(crcMagic))
-	f.Add(u32(batchMagic))
-	truncated := route(RouteHeader{Tenant: "alice", Generation: 3})
-	f.Add(truncated[:len(truncated)-4])
+	f.Add(append(u32(traceMagic), make([]byte, traceBodyLen+4)...))
+	f.Add(append(u32(crcMagic), u32(crcMagic)...))
+	traced, err := requestHeader{Trace: tc}.appendTo(nil, 9)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Repeat(traced[:4+traceBodyLen], 8))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, consumed, routed, err := PeekRoute(bytes.NewReader(data))
+		hdr, count, consumed, err := readRequestHeader(bytes.NewReader(data))
+		if len(consumed) > maxHeaderBytes || len(consumed) > len(data) {
+			t.Fatalf("consumed %d bytes of %d, cap %d", len(consumed), len(data), maxHeaderBytes)
+		}
 		if !bytes.Equal(consumed, data[:len(consumed)]) {
 			t.Fatalf("consumed % x is not a prefix of input % x", consumed, data)
 		}
 		if err != nil {
 			return
 		}
-		if routed {
-			if n := len(hdr.Tenant); n < 1 || n > maxRouteTenantBytes {
-				t.Fatalf("accepted tenant name of %d bytes outside [1,%d]", n, maxRouteTenantBytes)
-			}
-			// A peeked frame must re-encode to the exact bytes the gateway
-			// replays: splice(consumed, rest) == original stream.
-			var re bytes.Buffer
-			prefixLen := len(consumed) - (4 + 2 + len(hdr.Tenant) + 8)
-			re.Write(consumed[:prefixLen])
-			if _, err := writeRouteHeader(&re, hdr); err != nil {
-				t.Fatalf("re-encoding peeked header: %v", err)
-			}
-			if !bytes.Equal(re.Bytes(), consumed) {
-				t.Fatalf("header % +v does not round-trip: % x vs % x", hdr, re.Bytes(), consumed)
-			}
-		} else if !hdr.IsZero() {
-			t.Fatalf("unrouted peek returned non-zero header %+v", hdr)
+		re, err := hdr.appendTo(nil, count)
+		if err != nil {
+			t.Fatalf("re-encoding accepted header %+v: %v", hdr, err)
+		}
+		if !bytes.Equal(re, consumed) {
+			t.Fatalf("header %+v count %d does not round-trip: % x vs % x", hdr, count, re, consumed)
 		}
 	})
 }

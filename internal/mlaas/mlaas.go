@@ -8,20 +8,18 @@
 //
 // Protocol (all little-endian, length-delimited):
 //
-//	request:  uint32 ciphertext count, then that many serialized ciphertexts
-//	response: status byte (see Status), then one ciphertext (StatusOK) or a
+//	request:  the request header (header.go: optional trace, route, crc
+//	          and batch prefixes, then a uint32 ciphertext count), then
+//	          that many serialized ciphertexts
+//	response: status byte (see Status), then the result (StatusOK) or a
 //	          uint32-length error string (any other status)
 //
-// Batched requests (Config.Batch, PR5) reuse the same framing with a
-// sentinel first word: a uint32 batch magic — chosen above
-// maxRequestCiphertexts so servers without batching reject it as a bad
-// count — then the real uint32 ciphertext count and that many
-// position-major ciphertexts under the batch-ring parameters (one
-// single-slot ciphertext per tensor position, the image's value in slot
-// 0). The batched success response is the status byte, a uint32 slot
-// index, a uint32 logit-ciphertext count, and the shared logit
-// ciphertexts; the client decrypts only its own slot. Failure responses
-// are identical in both framings.
+// A per-request result is one ciphertext. A batched request (Config.Batch)
+// ships one single-slot ciphertext per tensor position under the
+// batch-ring parameters, and its result is a uint32 slot index, a uint32
+// logit-ciphertext count and the shared logit ciphertexts; the client
+// decrypts only its own slot. A CRC-framed success response ends with the
+// trailer of frame.go.
 //
 // The serving layer is production-shaped: per-connection I/O deadlines and
 // a total request budget, admission scheduling (MaxConcurrent evaluation
@@ -67,12 +65,6 @@ import (
 // maxRequestCiphertexts bounds a request so a malicious client cannot force
 // unbounded allocation.
 const maxRequestCiphertexts = 4096
-
-// batchMagic is the first word of a batched request ("BTCH"). It is far
-// above maxRequestCiphertexts, so a server without batching enabled —
-// or an old server predating the batched framing — rejects it as a
-// hostile ciphertext count instead of misparsing the request.
-const batchMagic uint32 = 0x42544348
 
 // maxErrorMessageBytes caps the error string on the wire in both
 // directions: the server truncates before writing, the client refuses to
@@ -138,7 +130,7 @@ type Config struct {
 	Batch *BatchConfig
 
 	// Registry, when non-nil, enables multi-tenant serving (tenant.go):
-	// requests carrying a routing frame (route.go) resolve through it to
+	// requests carrying a route prefix (header.go) resolve through it to
 	// a per-tenant runtime — parameters, keys, compiled network, quota,
 	// batch domain — materialized by Models and cached keyed by the
 	// record's generation. Unrouted requests keep using the server's own
@@ -354,7 +346,7 @@ func (s *Server) backend(rec *hecnn.Recorder) hecnn.Backend {
 	return s.defRT.backend(rec)
 }
 
-// resolveTenant maps a routing frame to its resident runtime: registry
+// resolveTenant maps a route prefix to its resident runtime: registry
 // lookup (typed unknown-tenant refusal on a miss), client generation
 // check (a client whose keys derive from a rotated-away generation is
 // refused rather than served undecryptable logits), then lazy runtime
@@ -665,83 +657,37 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (fr
 		}
 	}()
 
-	var cntBuf [4]byte
-	if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
+	hdr, raw, _, err := readRequestHeader(rw)
+	if err != nil {
+		return nil, &wireError{StatusBadRequest, err.Error()}
 	}
-	raw := binary.LittleEndian.Uint32(cntBuf[:])
-	// traceMagic carries the client's trace context (trace.go). It leads
-	// every other prefix; a server without a flight recorder parses and
-	// ignores it, so a traced client talks to an untraced new server
-	// transparently (old servers refuse the magic as a hostile count).
-	if raw == traceMagic {
-		tc, err := readTraceBody(rw)
-		if err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading trace context: %v", err)}
-		}
-		rt.setWire(tc)
-		if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
-		}
-		raw = binary.LittleEndian.Uint32(cntBuf[:])
-	}
-	// routeMagic names the tenant (route.go): resolution swaps the serving
-	// runtime from the single-tenant default to the tenant's own —
-	// parameters, keys, compiled network, quota, batch domain. The frame
-	// sits between the trace context and the CRC advertisement, matching
-	// the order clients and the gateway write.
+	rt.setWire(hdr.Trace)
+	// A routed request runs on its tenant's serving runtime — parameters,
+	// keys, compiled network, quota, batch domain — instead of the
+	// single-tenant default.
 	run := s.defRT
-	if raw == routeMagic {
-		hdr, err := readRouteBody(rw)
-		if err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading route frame: %v", err)}
-		}
-		if run, we = s.resolveTenant(hdr); we != nil {
+	if !hdr.Route.IsZero() {
+		if run, we = s.resolveTenant(hdr.Route); we != nil {
 			return nil, we
 		}
-		rt.setTenant(hdr.Tenant)
+		rt.setTenant(hdr.Route.Tenant)
 		if !run.acquireQuota() {
-			return nil, &wireError{StatusBusy, fmt.Sprintf("tenant %q at its admission quota (%d concurrent)", hdr.Tenant, cap(run.quota))}
+			return nil, &wireError{StatusBusy, fmt.Sprintf("tenant %q at its admission quota (%d concurrent)", hdr.Route.Tenant, cap(run.quota))}
 		}
 		defer run.releaseQuota()
-		if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
+	}
+	if hdr.Batch {
+		if run.bat != nil {
+			return s.serveBatched(rw, run, rt, releaseSlot, hdr.CRC, raw)
 		}
-		raw = binary.LittleEndian.Uint32(cntBuf[:])
-	}
-	// crcMagic advertises CRC framing (frame.go): the success response gets
-	// a CRC32 trailer. Like batchMagic it reads as a hostile count on old
-	// servers, so the negotiation needs no version field. The magic may
-	// precede either framing — [crc][count] or [crc][batch][count].
-	crc := raw == crcMagic
-	if crc {
-		if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading request header: %v", err)}
-		}
-		raw = binary.LittleEndian.Uint32(cntBuf[:])
-	}
-	if raw == batchMagic && run.bat != nil {
-		return s.serveBatched(rw, run, rt, releaseSlot, crc)
-	}
-	count := int(raw)
-	// Reject a hostile count before comparing against the model shape or
-	// allocating anything: the bound check must come first. A batched
-	// request against a server without batching enabled lands here too —
-	// the magic is deliberately far above the cap.
-	if count < 1 || count > maxRequestCiphertexts {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("request ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
+		// Without batching the magic is what it is to a server predating
+		// the framing: a hostile ciphertext count.
+		raw = batchMagic
 	}
 	expect := run.net.Layers[0].(*hecnn.ConvPacked).NumPositions()
-	if count != expect {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d packed ciphertexts, got %d", expect, count)}
-	}
-	cts := make([]*hecnn.CT, 0, count)
-	for i := 0; i < count; i++ {
-		ct, err := ckks.ReadCiphertext(rw, run.params)
-		if err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
-		}
-		cts = append(cts, hecnn.WrapCiphertext(ct))
+	cts, we := readCiphertexts(rw, run.params, raw, expect, false)
+	if we != nil {
+		return nil, we
 	}
 	rt.lap(phaseDecode)
 	if err := run.net.ValidateCiphertexts(cts, run.params.MaxLevel()); err != nil {
@@ -773,7 +719,7 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (fr
 		s.shed.observe(time.Since(evalStart))
 		s.met.setEvalEWMA(s.shed.estimate())
 	}
-	return successFrame(nil, []*hecnn.CT{out}, crc), nil
+	return successFrame(nil, []*hecnn.CT{out}, hdr.CRC), nil
 }
 
 // serveBatched runs one batched exchange: decode and validate the
@@ -783,26 +729,11 @@ func (s *Server) serveRequest(rw *timedRW, rt *reqTrace, releaseSlot func()) (fr
 // evaluates whole batches under one evaluation slot; a member whose
 // budget expires while parked claims itself away from the next flush and
 // is refused with StatusBusy, never stalling the batch.
-func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, releaseSlot func(), crc bool) ([]byte, *wireError) {
+func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, releaseSlot func(), crc bool, count uint32) ([]byte, *wireError) {
 	bnet := run.bat.net
-	var cntBuf [4]byte
-	if _, err := io.ReadFull(rw, cntBuf[:]); err != nil {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading batched request header: %v", err)}
-	}
-	count := int(binary.LittleEndian.Uint32(cntBuf[:]))
-	if count < 1 || count > maxRequestCiphertexts {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("batched ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
-	}
-	if expect := bnet.InputSize(); count != expect {
-		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d position-major ciphertexts, got %d", expect, count)}
-	}
-	cts := make([]*hecnn.CT, 0, count)
-	for i := 0; i < count; i++ {
-		ct, err := ckks.ReadCiphertext(rw, run.bparams)
-		if err != nil {
-			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
-		}
-		cts = append(cts, hecnn.WrapCiphertext(ct))
+	cts, we := readCiphertexts(rw, run.bparams, count, bnet.InputSize(), true)
+	if we != nil {
+		return nil, we
 	}
 	rt.lap(phaseDecode)
 	if err := bnet.ValidateBatchCiphertexts(cts, run.bparams.MaxLevel()); err != nil {
@@ -856,6 +787,34 @@ func (s *Server) serveBatched(rw *timedRW, run *tenantRuntime, rt *reqTrace, rel
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(out.slot))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(out.outs)))
 	return successFrame(hdr[:], out.outs, crc), nil
+}
+
+// readCiphertexts reads a request's ciphertext list after its header:
+// the raw count is bounds-checked before anything is allocated, then
+// matched against the model's expected input count, then that many
+// ciphertexts are decoded under params. batched selects the wording of
+// the batched framing.
+func readCiphertexts(r io.Reader, params ckks.Parameters, raw uint32, expect int, batched bool) ([]*hecnn.CT, *wireError) {
+	kind, layout := "request", "packed"
+	if batched {
+		kind, layout = "batched", "position-major"
+	}
+	count := int(raw)
+	if count < 1 || count > maxRequestCiphertexts {
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("%s ciphertext count %d outside [1,%d]", kind, count, maxRequestCiphertexts)}
+	}
+	if count != expect {
+		return nil, &wireError{StatusBadRequest, fmt.Sprintf("expected %d %s ciphertexts, got %d", expect, layout, count)}
+	}
+	cts := make([]*hecnn.CT, 0, count)
+	for i := 0; i < count; i++ {
+		ct, err := ckks.ReadCiphertext(r, params)
+		if err != nil {
+			return nil, &wireError{StatusBadRequest, fmt.Sprintf("reading ciphertext %d: %v", i, err)}
+		}
+		cts = append(cts, hecnn.WrapCiphertext(ct))
+	}
+	return cts, nil
 }
 
 // successFrame encodes a complete success response into one exactly
@@ -1009,15 +968,15 @@ type Client struct {
 	Timeout time.Duration
 
 	// FrameCheck opts the client into CRC-framed responses (frame.go):
-	// requests are prefixed with crcMagic and success responses must carry
-	// a matching CRC32 trailer, turning silently corrupted logits into a
-	// typed, retryable ErrFrameCorrupt. Servers predating the framing
-	// refuse the magic with a typed bad-request, so leave this off when
-	// talking to old servers.
+	// requests carry the crc header prefix (header.go) and success
+	// responses must carry a matching CRC32 trailer, turning silently
+	// corrupted logits into a typed, retryable ErrFrameCorrupt. Servers
+	// predating the framing refuse the prefix with a typed bad-request, so
+	// leave this off when talking to old servers.
 	FrameCheck bool
 
-	// Tenant, when set, prefixes every request with the tenant routing
-	// frame (route.go): the gateway routes it to the tenant's home shard
+	// Tenant, when set, adds the route prefix to every request header
+	// (header.go): the gateway routes it to the tenant's home shard
 	// and a multi-tenant server resolves this tenant's keys, network, and
 	// quota. Leave empty when talking to single-tenant servers.
 	Tenant string
@@ -1037,7 +996,7 @@ type Client struct {
 
 	// Flight, when non-nil, enables client-side tracing: every
 	// Infer/InferRetry/InferHedged call runs under a root span whose
-	// trace context is propagated over the wire (trace.go), with one
+	// trace context is propagated in the request header, with one
 	// child span per attempt tagged endpoint/breaker-state/hedge. Nil
 	// keeps wire bytes and the request path byte-identical to the
 	// untraced client.
@@ -1095,7 +1054,7 @@ func (c *Client) inferSpan(ctx context.Context, conn io.ReadWriter, img *cnn.Ten
 	trw := newTimedRW(conn, c.Timeout, abs)
 
 	cts := c.encryptRequest(img)
-	sent, err := writeInferRequest(trw, cts, c.route(), c.FrameCheck, sp.Context())
+	sent, err := writeInferRequest(trw, c.header(sp.Context()), cts)
 	c.BytesSent += sent
 	if err != nil {
 		return nil, &TransportError{Err: err}
@@ -1122,38 +1081,27 @@ func (c *Client) encryptRequest(img *cnn.Tensor) []*ckks.Ciphertext {
 	return cts
 }
 
-// route assembles the client's tenant routing frame; zero when the
-// client is untenanted.
-func (c *Client) route() RouteHeader {
-	return RouteHeader{Tenant: c.Tenant, Generation: c.TenantGeneration}
+// header assembles the client's request header; tc is the attempt's
+// trace context (zero when untraced).
+func (c *Client) header(tc telemetry.SpanContext) requestHeader {
+	return requestHeader{
+		Trace: tc,
+		Route: RouteHeader{Tenant: c.Tenant, Generation: c.TenantGeneration},
+		CRC:   c.FrameCheck,
+	}
 }
 
-// writeInferRequest streams one request: the optional trace-context
-// header, the optional tenant routing frame, the optional crcMagic
-// advertisement, the ciphertext count, then the serialized ciphertexts.
-// Serialization only reads the ciphertexts, so concurrent hedged
-// attempts may stream the same set. A zero tc writes no trace header and
-// a zero route writes no routing frame, keeping the legacy framing
-// byte-identical.
-func writeInferRequest(w io.Writer, cts []*ckks.Ciphertext, route RouteHeader, frameCheck bool, tc telemetry.SpanContext) (int64, error) {
-	n, err := writeTraceHeader(w, tc)
+// writeInferRequest streams one request: the header, then the serialized
+// ciphertexts. Serialization only reads the ciphertexts, so concurrent
+// hedged attempts may stream the same set. A zero header writes the
+// legacy framing byte-for-byte.
+func writeInferRequest(w io.Writer, hdr requestHeader, cts []*ckks.Ciphertext) (int64, error) {
+	buf, err := hdr.appendTo(make([]byte, 0, maxHeaderBytes), uint32(len(cts)))
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	rn, err := writeRouteHeader(w, route)
-	n += rn
-	if err != nil {
-		return n, err
-	}
-	var hdr [8]byte
-	h := hdr[4:]
-	if frameCheck {
-		binary.LittleEndian.PutUint32(hdr[:4], crcMagic)
-		h = hdr[:]
-	}
-	binary.LittleEndian.PutUint32(h[len(h)-4:], uint32(len(cts)))
-	m, err := w.Write(h)
-	n += int64(m)
+	m, err := w.Write(buf)
+	n := int64(m)
 	if err != nil {
 		return n, err
 	}
@@ -1168,42 +1116,22 @@ func writeInferRequest(w io.Writer, cts []*ckks.Ciphertext, route RouteHeader, f
 }
 
 // readResponse consumes one response: a typed status, then either the
-// result ciphertext (plus, under FrameCheck, the CRC32 trailer the
-// server appends for crcMagic requests) or the failure message. It
-// never touches mutable client state, so hedged attempts call it
-// concurrently; decryption stays with the single caller via
-// decodeLogits.
+// result ciphertext (plus, under FrameCheck, the CRC32 trailer) or the
+// failure message. It never touches mutable client state, so hedged
+// attempts call it concurrently; decryption stays with the single caller
+// via decodeLogits.
 func (c *Client) readResponse(r io.Reader) (*ckks.Ciphertext, int64, error) {
-	src := r
-	var cr *crcReader
-	if c.FrameCheck {
-		cr = newCRCReader(r)
-		src = cr
-	}
-	// Failure frames never carry a trailer: some refusals are written
-	// before the server has read the request's framing advertisement.
-	recv, err := readStatus(src)
+	var out *ckks.Ciphertext
+	recv, err := readCheckedResponse(r, c.FrameCheck, func(src io.Reader) (int64, error) {
+		ct, err := ckks.ReadCiphertext(src, c.params)
+		if err != nil {
+			return 0, err
+		}
+		out = ct
+		return int64(ct.SerializedSize()), nil
+	})
 	if err != nil {
 		return nil, recv, err
-	}
-	out, err := ckks.ReadCiphertext(src, c.params)
-	if err != nil {
-		// On a CRC-framed exchange a structural decode failure is
-		// corruption evidence — an honest new server would have produced
-		// a well-formed frame.
-		if c.FrameCheck && errors.Is(err, ckks.ErrMalformed) {
-			err = errFrameCorruptf("%v", err)
-		}
-		return nil, recv, &TransportError{Partial: true, Err: err}
-	}
-	recv += int64(out.SerializedSize())
-	if c.FrameCheck {
-		// Snapshot the payload CRC before consuming the trailer bytes.
-		sum := cr.h.Sum32()
-		if err := readTrailer(r, sum); err != nil {
-			return nil, recv, &TransportError{Partial: true, Err: err}
-		}
-		recv += 8
 	}
 	return out, recv, nil
 }
@@ -1234,9 +1162,7 @@ type BatchClient struct {
 	// Timeout is the rolling per-read/per-write deadline, as Client's.
 	Timeout time.Duration
 
-	// FrameCheck opts into CRC-framed responses, as Client's: crcMagic
-	// precedes the batch magic on the wire and the success response must
-	// carry a matching CRC32 trailer.
+	// FrameCheck opts into CRC-framed responses, as Client's.
 	FrameCheck bool
 
 	// Tenant/TenantGeneration route batched requests to the tenant's
@@ -1247,8 +1173,8 @@ type BatchClient struct {
 	TenantGeneration uint64
 
 	// Flight enables client-side tracing, as Client's: the request runs
-	// under a root span whose context precedes every other wire prefix,
-	// so the server's batch-flush span can link this request's trace.
+	// under a root span whose context rides the request header, so the
+	// server's batch-flush span can link this request's trace.
 	Flight *telemetry.FlightRecorder
 
 	BytesSent     int64
@@ -1296,86 +1222,59 @@ func (c *BatchClient) inferSpan(ctx context.Context, conn io.ReadWriter, img *cn
 	}
 	trw := newTimedRW(conn, c.Timeout, abs)
 
-	tn, err := writeTraceHeader(trw, sp.Context())
-	c.BytesSent += tn
-	if err != nil {
-		return nil, &TransportError{Err: err}
-	}
-	rn, err := writeRouteHeader(trw, RouteHeader{Tenant: c.Tenant, Generation: c.TenantGeneration})
-	c.BytesSent += rn
-	if err != nil {
-		return nil, &TransportError{Err: err}
-	}
-	var hdr [12]byte
-	h := hdr[4:]
-	if c.FrameCheck {
-		binary.LittleEndian.PutUint32(hdr[:4], crcMagic)
-		h = hdr[:]
-	}
-	binary.LittleEndian.PutUint32(h[len(h)-8:len(h)-4], batchMagic)
-	binary.LittleEndian.PutUint32(h[len(h)-4:], uint32(len(packed)))
-	if _, err := trw.Write(h); err != nil {
-		return nil, &TransportError{Err: err}
-	}
-	c.BytesSent += int64(len(h))
 	level := c.params.MaxLevel()
-	for _, v := range packed {
-		ct := c.encryptor.Encrypt(c.encoder.Encode(v, level, c.params.Scale))
-		n, err := ct.WriteTo(trw)
-		c.BytesSent += n
-		if err != nil {
-			return nil, &TransportError{Err: err}
-		}
+	cts := make([]*ckks.Ciphertext, len(packed))
+	for i, v := range packed {
+		cts[i] = c.encryptor.Encrypt(c.encoder.Encode(v, level, c.params.Scale))
+	}
+	hdr := requestHeader{
+		Trace: sp.Context(),
+		Route: RouteHeader{Tenant: c.Tenant, Generation: c.TenantGeneration},
+		CRC:   c.FrameCheck,
+		Batch: true,
+	}
+	sent, err := writeInferRequest(trw, hdr, cts)
+	c.BytesSent += sent
+	if err != nil {
+		return nil, &TransportError{Err: err}
 	}
 
-	// Failure frames never carry a trailer (see frame.go); success frames
-	// do when FrameCheck advertised the magic.
-	var src io.Reader = trw
-	var cr *crcReader
-	if c.FrameCheck {
-		cr = newCRCReader(trw)
-		src = cr
-	}
-	recv, err := readStatus(src)
+	var slot int
+	var outs []*ckks.Ciphertext
+	recv, err := readCheckedResponse(trw, c.FrameCheck, func(src io.Reader) (int64, error) {
+		var shdr [8]byte
+		if _, err := io.ReadFull(src, shdr[:]); err != nil {
+			return 0, err
+		}
+		slot = int(binary.LittleEndian.Uint32(shdr[:4]))
+		count := int(binary.LittleEndian.Uint32(shdr[4:]))
+		if slot < 0 || slot >= c.params.Slots() {
+			return 8, fmt.Errorf("server assigned slot %d outside the ring's %d slots", slot, c.params.Slots())
+		}
+		if count < 1 || count > maxRequestCiphertexts {
+			return 8, fmt.Errorf("batched response ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)
+		}
+		if expect := c.net.OutputSize(); count != expect {
+			return 8, fmt.Errorf("batched response has %d logit ciphertexts, want %d", count, expect)
+		}
+		n := int64(8)
+		for i := 0; i < count; i++ {
+			out, err := ckks.ReadCiphertext(src, c.params)
+			if err != nil {
+				return n, err
+			}
+			n += int64(out.SerializedSize())
+			outs = append(outs, out)
+		}
+		return n, nil
+	})
 	c.BytesReceived += recv
 	if err != nil {
 		return nil, err
 	}
-
-	var shdr [8]byte
-	if _, err := io.ReadFull(src, shdr[:]); err != nil {
-		return nil, &TransportError{Partial: true, Err: err}
-	}
-	c.BytesReceived += 8
-	slot := int(binary.LittleEndian.Uint32(shdr[:4]))
-	count := int(binary.LittleEndian.Uint32(shdr[4:]))
-	if slot < 0 || slot >= c.params.Slots() {
-		return nil, &TransportError{Partial: true, Err: fmt.Errorf("server assigned slot %d outside the ring's %d slots", slot, c.params.Slots())}
-	}
-	if count < 1 || count > maxRequestCiphertexts {
-		return nil, &TransportError{Partial: true, Err: fmt.Errorf("batched response ciphertext count %d outside [1,%d]", count, maxRequestCiphertexts)}
-	}
-	if expect := c.net.OutputSize(); count != expect {
-		return nil, &TransportError{Partial: true, Err: fmt.Errorf("batched response has %d logit ciphertexts, want %d", count, expect)}
-	}
-	logits := make([]float64, count)
-	for i := 0; i < count; i++ {
-		out, err := ckks.ReadCiphertext(src, c.params)
-		if err != nil {
-			if c.FrameCheck && errors.Is(err, ckks.ErrMalformed) {
-				err = errFrameCorruptf("%v", err)
-			}
-			return nil, &TransportError{Partial: true, Err: err}
-		}
-		c.BytesReceived += int64(out.SerializedSize())
+	logits := make([]float64, len(outs))
+	for i, out := range outs {
 		logits[i] = c.encoder.Decode(c.decryptor.Decrypt(out))[slot]
-	}
-	if c.FrameCheck {
-		sum := cr.h.Sum32()
-		if err := readTrailer(trw, sum); err != nil {
-			return nil, &TransportError{Partial: true, Err: err}
-		}
-		c.BytesReceived += 8
 	}
 	return logits, nil
 }

@@ -31,7 +31,7 @@ const (
 	// StatusShuttingDown: the server is draining and accepts no new
 	// work. Retry against another replica, not this one.
 	StatusShuttingDown Status = 4
-	// StatusUnknownTenant: the request's routing frame named a tenant the
+	// StatusUnknownTenant: the request's route prefix named a tenant the
 	// server's registry does not hold. Every honest shard shares the
 	// registry, so the refusal is terminal — failover to another replica
 	// cannot cure it.
